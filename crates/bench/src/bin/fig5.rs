@@ -26,7 +26,7 @@ fn main() {
     let seed: u64 = args.get("seed", 20260611);
     let input = args.get_str("input", "both");
     let reps: usize = args.get("reps", 3);
-    // α–β cost model; see EXPERIMENTS.md for the calibration discussion.
+    // α–β cost model, calibratable from the command line.
     let model = CostModel {
         alpha_ns: args.get("alpha-us", 5.0f64) * 1e3,
         beta_ns_per_byte: args.get("beta-ns", 1.0f64),

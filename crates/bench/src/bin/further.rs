@@ -17,10 +17,11 @@
 use dss_bench::cli::Args;
 use dss_bench::harness::run_repeated_with_model;
 use dss_bench::{print_table, write_csv, ExperimentResult};
+use dss_dedup::prefix_doubling::PrefixDoublingConfig;
 use dss_gen::Workload;
 use dss_net::CostModel;
 use dss_sort::partition::{PartitionConfig, SamplingPolicy};
-use dss_sort::{Algorithm, Ms, MsConfig, Pdms, PdmsConfig};
+use dss_sort::{Algorithm, ExchangeCodec, MergeSort, MergeSortConfig};
 use std::path::PathBuf;
 
 fn paper_algorithms(
@@ -125,20 +126,21 @@ fn exp_sampling(
         r: 0.5,
         sigma: 16,
     };
-    let ms_strings = Ms::default();
-    let ms_chars = Ms::with_config(MsConfig {
+    let ms_strings = MergeSort::default();
+    let ms_chars = MergeSort::with_config(MergeSortConfig {
         partition: PartitionConfig {
             policy: SamplingPolicy::Chars,
             ..PartitionConfig::default()
         },
-        ..MsConfig::default()
+        ..MergeSortConfig::default()
     });
-    let pdms_dist = Pdms::with_config(PdmsConfig {
+    let pdms_dist = MergeSort::with_config(MergeSortConfig {
+        prefix: Some(PrefixDoublingConfig::default()),
         partition: PartitionConfig {
             policy: SamplingPolicy::DistPrefix,
             ..PartitionConfig::default()
         },
-        ..PdmsConfig::default()
+        ..MergeSortConfig::default()
     });
     let mut out = Vec::new();
     for w in [&uniform, &skewed] {
@@ -212,34 +214,35 @@ fn exp_ablation(
         r: 0.1,
         sigma: 16,
     };
-    let pdms_hypercube = Pdms::with_config(PdmsConfig {
-        pd: dss_dedup::prefix_doubling::PrefixDoublingConfig {
+    let pdms_hypercube = MergeSort::with_config(MergeSortConfig {
+        prefix: Some(PrefixDoublingConfig {
             latency_optimal: true,
             ..Default::default()
-        },
-        ..PdmsConfig::default()
+        }),
+        ..MergeSortConfig::default()
     });
-    let pdms_slow_growth = Pdms::with_config(PdmsConfig {
-        pd: dss_dedup::prefix_doubling::PrefixDoublingConfig {
+    let pdms_slow_growth = MergeSort::with_config(MergeSortConfig {
+        prefix: Some(PrefixDoublingConfig {
             growth_num: 3,
             growth_den: 2,
             ..Default::default()
-        },
-        ..PdmsConfig::default()
+        }),
+        ..MergeSortConfig::default()
     });
-    let ms_delta = Ms::with_config(MsConfig {
-        delta_lcps: true,
-        ..MsConfig::default()
+    let ms_delta = MergeSort::with_config(MergeSortConfig {
+        codec: ExchangeCodec::LcpDelta,
+        ..MergeSortConfig::default()
     });
-    let pdms_delta = Pdms::with_config(PdmsConfig {
-        delta_lcps: true,
-        ..PdmsConfig::default()
+    let pdms_delta = MergeSort::with_config(MergeSortConfig {
+        prefix: Some(PrefixDoublingConfig::default()),
+        codec: ExchangeCodec::LcpDelta,
+        ..MergeSortConfig::default()
     });
     let mut out = Vec::new();
     for &p in pes {
         out.push(run_repeated_with_model(
             "MS",
-            &Ms::default(),
+            &MergeSort::default(),
             &w,
             p,
             seed,
@@ -259,7 +262,7 @@ fn exp_ablation(
         ));
         out.push(run_repeated_with_model(
             "PDMS",
-            &Pdms::default(),
+            &*Algorithm::Pdms.instance(),
             &w,
             p,
             seed,
@@ -269,7 +272,7 @@ fn exp_ablation(
         ));
         out.push(run_repeated_with_model(
             "PDMS-Golomb",
-            &Pdms::golomb(),
+            &*Algorithm::PdmsGolomb.instance(),
             &w,
             p,
             seed,

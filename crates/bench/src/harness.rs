@@ -60,8 +60,7 @@ pub fn run_repeated(
 }
 
 /// [`run_repeated`] with an explicit α–β cost model (the figure binaries
-/// expose `--alpha-us` / `--beta-ns` for scale calibration; see
-/// EXPERIMENTS.md).
+/// expose `--alpha-us` / `--beta-ns` for scale calibration).
 #[allow(clippy::too_many_arguments)]
 pub fn run_repeated_with_model(
     label: &'static str,

@@ -24,7 +24,7 @@ use dss_gen::Workload;
 use dss_net::runner::{run_spmd, RunConfig};
 use dss_net::trace;
 use dss_sort::exchange::{ExchangeCodec, ExchangePayload, StringAllToAll};
-use dss_sort::Algorithm;
+use dss_sort::{Algorithm, ExchangeMode};
 use dss_strkit::copyvol;
 use dss_strkit::losertree::{parallel_lcp_merge_into, MergeRun};
 use dss_strkit::sort::{par_sort_with_lcp, sort_with_lcp};
@@ -254,10 +254,10 @@ pub struct SnapConfig {
     /// many characters before sorting (0 = off). Isolates the cost of the
     /// first sort levels when chasing a regression.
     pub truncate: u32,
-    /// Shared-memory threads of the `par-sort` / `par-merge` cells (the
-    /// `seq-sort` / `merge` cells always run at 1 thread, so every
-    /// snapshot carries a 1-vs-N comparison). Recorded in the snapshot
-    /// config.
+    /// Shared-memory threads of the `par-sort` / `par-merge` cells and of
+    /// every PE in the distributed cells (the `seq-sort` / `merge` cells
+    /// always run at 1 thread, so every snapshot carries a 1-vs-N
+    /// comparison). Recorded in the snapshot config.
     pub threads: usize,
 }
 
@@ -485,8 +485,12 @@ pub fn merge_cell(
 pub fn dist_cell(w: SnapWorkload, alg: Algorithm, cfg: &SnapConfig, probe: AllocProbe) -> Cell {
     let mut best: Option<Cell> = None;
     for _ in 0..cfg.reps {
-        let (seed, n_per_pe) = (cfg.seed, cfg.dist_n_per_pe);
-        let res = run_spmd(cfg.p, run_cfg(), move |comm| {
+        let (seed, n_per_pe, threads) = (cfg.seed, cfg.dist_n_per_pe, cfg.threads);
+        let rc = RunConfig {
+            threads_per_pe: threads,
+            ..run_cfg()
+        };
+        let res = run_spmd(cfg.p, rc, move |comm| {
             comm.set_phase("generate");
             let shard = w.generate(comm.rank(), comm.size(), seed, n_per_pe);
             let (n, chars) = (shard.len(), shard.num_chars());
@@ -501,7 +505,8 @@ pub fn dist_cell(w: SnapWorkload, alg: Algorithm, cfg: &SnapConfig, probe: Alloc
             comm.barrier();
             let t0 = Instant::now();
             comm.set_phase("sort");
-            let sorter = alg.instance();
+            // The recorded `config.threads`, not the `DSS_THREADS` default.
+            let sorter = alg.instance_with(ExchangeMode::default(), threads);
             let out = sorter.sort(comm, shard);
             let wall = t0.elapsed();
             comm.set_phase("drain");
@@ -744,7 +749,7 @@ pub fn snapshot_json(label: &str, cfg: &SnapConfig, cells: &[Cell]) -> String {
         cfg.p,
         cfg.reps,
         cfg.seed,
-        dss_sort::ExchangeMode::from_env().label(),
+        ExchangeMode::from_env().label(),
         cfg.threads
     ));
     out.push_str("    \"cells\": [\n");

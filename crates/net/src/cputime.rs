@@ -10,7 +10,7 @@
 //! `std` exposes no thread CPU clock and `libc` is outside the approved
 //! dependency set, so on Linux/x86-64 we issue the `clock_gettime`
 //! syscall directly; elsewhere we fall back to a monotonic wall clock
-//! (correct results, noisier timings — documented in DESIGN.md).
+//! (correct results, noisier timings).
 
 /// Nanoseconds of CPU time consumed by the calling thread.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

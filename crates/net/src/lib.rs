@@ -47,6 +47,5 @@ pub use nonblocking::{PendingExchange, RecvHandle, SendHandle};
 pub use rng::SplitMix64;
 pub use runner::{run_spmd, RunConfig, SpmdResult};
 pub use topology::{
-    factor_into_levels, grid_dims, grid_view, multi_grid_dims, multi_grid_view, GridComm,
-    MultiGridComm, MultiGridLevel,
+    factor_into_levels, grid_dims, multi_grid_dims, multi_grid_view, MultiGridComm, MultiGridLevel,
 };

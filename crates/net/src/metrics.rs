@@ -225,8 +225,7 @@ pub struct CostModel {
 }
 
 impl Default for CostModel {
-    /// α = 5 µs, β = 1 ns/B (≈ 1 GB/s effective per-PE bandwidth); see
-    /// DESIGN.md §6 for the calibration rationale.
+    /// α = 5 µs, β = 1 ns/B (≈ 1 GB/s effective per-PE bandwidth).
     fn default() -> Self {
         Self {
             alpha_ns: 5_000.0,

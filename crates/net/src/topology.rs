@@ -12,29 +12,31 @@
 //! The follow-up work on multi-level string sorting (Kurpicz, Mehnert,
 //! Sanders, Schimek: "Scalable Distributed String Sorting", 2024) replaces
 //! the single-level all-to-all — where every PE talks to all `p − 1` peers
-//! — with grid communication: the `p = r·c` PEs form an r×c grid, data
-//! first moves *within rows* (`c − 1` partners) into the right column,
-//! then *within columns* (`r − 1` partners) to its final PE, cutting the
-//! per-PE partner count from `Θ(p)` to `O(r + c)` (`O(√p)` for a square
-//! grid).
+//! — with grid communication: for `p = d₁·…·dₗ`, data moves level by
+//! level inside ever-smaller blocks of PEs, cutting the per-PE partner
+//! count from `Θ(p)` to `Σ(dᵢ − 1)`. The two-level `r×c` grid is the case
+//! `dims = [c, r]`: data first moves *within rows* (`c − 1` partners)
+//! into the right column, then *within columns* (`r − 1` partners) to its
+//! final PE — `O(√p)` partners for a square grid.
 //!
-//! [`grid_view`] builds that view from two [`Comm::split`] calls. The rank
-//! mapping is **column-major** and deterministic:
+//! [`multi_grid_view`] builds that view from counted [`Comm::split`]
+//! calls. The rank mapping is deterministic and makes every block a
+//! contiguous rank range; for `dims = [c, r]` it is column-major:
 //!
 //! ```text
 //! world rank v  ⇔  (row, col) = (v mod r, v ⌊/⌋ r),   v = col·r + row
 //! ```
 //!
-//! so each *column* is a contiguous world-rank block. A two-phase
-//! row-then-column exchange that routes global bucket `j` into column `j`
-//! and then orders each column internally therefore leaves the
-//! world-rank-ordered concatenation globally sorted — the output
-//! invariant every distributed sorter promises.
+//! so each *column* is a contiguous world-rank block. An exchange that
+//! routes the block's `j`-th range into sub-block `j` at every level and
+//! then orders each PE's data therefore leaves the world-rank-ordered
+//! concatenation globally sorted — the output invariant every
+//! distributed sorter promises.
 //!
-//! Accounting follows the collective rules of [`crate::comm`]: each of the
-//! two splits performs one counted all-gather of the color (`⌈log p⌉`
-//! latency rounds, `O(p)` volume), and traffic on the row/column
-//! communicators is metered exactly like any other communicator traffic.
+//! Accounting follows the collective rules of [`crate::comm`]: each split
+//! performs one counted all-gather of the color (`⌈log p⌉` latency
+//! rounds, `O(p)` volume), and traffic on the level communicators is
+//! metered exactly like any other communicator traffic.
 
 use crate::comm::Comm;
 
@@ -91,79 +93,6 @@ pub fn grid_dims(p: usize) -> Option<(usize, usize)> {
         r -= 1;
     }
     None
-}
-
-/// The r×c grid view of a communicator: this PE's row and column
-/// subcommunicators plus the deterministic rank mapping (see the module
-/// docs). Built by [`grid_view`].
-pub struct GridComm {
-    rows: usize,
-    cols: usize,
-    /// This PE's row communicator (size `cols`; rank within it = column).
-    pub row: Comm,
-    /// This PE's column communicator (size `rows`; rank within it = row).
-    pub col: Comm,
-}
-
-impl GridComm {
-    /// Number of grid rows `r`.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of grid columns `c`.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// This PE's row index (its rank within its column communicator).
-    pub fn my_row(&self) -> usize {
-        self.col.rank()
-    }
-
-    /// This PE's column index (its rank within its row communicator).
-    pub fn my_col(&self) -> usize {
-        self.row.rank()
-    }
-
-    /// Rank (in the communicator the grid was built from) of the PE at
-    /// `(row, col)` — the inverse of the column-major mapping.
-    pub fn rank_of(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.rows && col < self.cols);
-        col * self.rows + row
-    }
-}
-
-/// Splits `comm` into an `rows × cols` grid view (requires
-/// `rows · cols == comm.size()`).
-///
-/// Rank `v` of `comm` sits at `(row, col) = (v mod rows, v / rows)`:
-/// columns are contiguous rank blocks, rows are strided. Two counted
-/// [`Comm::split`] all-gathers build the row and column communicators;
-/// because `split` orders members by parent rank, the rank *within* the
-/// row communicator equals the column index and vice versa — no further
-/// renumbering needed.
-pub fn grid_view(comm: &Comm, rows: usize, cols: usize) -> GridComm {
-    assert!(rows >= 1 && cols >= 1);
-    assert_eq!(
-        rows * cols,
-        comm.size(),
-        "grid {rows}x{cols} must tile the communicator exactly"
-    );
-    let v = comm.rank();
-    let (my_row, my_col) = (v % rows, v / rows);
-    let row = comm.split(my_row as u64);
-    let col = comm.split(my_col as u64);
-    debug_assert_eq!(row.size(), cols);
-    debug_assert_eq!(col.size(), rows);
-    debug_assert_eq!(row.rank(), my_col);
-    debug_assert_eq!(col.rank(), my_row);
-    GridComm {
-        rows,
-        cols,
-        row,
-        col,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -334,13 +263,13 @@ impl MultiGridComm {
 /// `dims = [d₁, …, dₗ]` (requires `d₁·…·dₗ == comm.size()`, every
 /// `dᵢ ≥ 2`, `ℓ ≥ 2`).
 ///
-/// The rank mapping generalizes the column-major [`grid_view`]: at
+/// The rank mapping generalizes the column-major `r×c` grid: at
 /// level `i` with block size `bᵢ` (`b₁ = p`, `bᵢ₊₁ = bᵢ/dᵢ`), rank `v`
 /// sits in block `⌊v/bᵢ⌋` at offset `o = v mod bᵢ`, i.e. in sub-block
 /// `g = ⌊o/bᵢ₊₁⌋` at offset `u = o mod bᵢ₊₁`. Blocks and sub-blocks are
 /// contiguous rank ranges, so routing the block's `j`-th sub-range into
 /// sub-block `j` at every level leaves the rank-ordered concatenation
-/// globally sorted. For `dims = [c, r]` this is exactly [`grid_view`]'s
+/// globally sorted. For `dims = [c, r]` this is the column-major grid
 /// `(row, col) = (v mod r, v / r)` with the row communicator as level 1
 /// and the column communicator as level 2.
 ///
@@ -349,8 +278,8 @@ impl MultiGridComm {
 /// orders members by parent rank, its rank equals the sub-block index
 /// `g` — asserted per level, no renumbering needed. `2ℓ − 2` counted
 /// splits build the view (the last level's block doubles as its own
-/// exchange communicator, and level 0's block is `comm` itself) — the
-/// same two splits as [`grid_view`] when `ℓ = 2`.
+/// exchange communicator, and level 0's block is `comm` itself) — one
+/// row split and one column split when `ℓ = 2`.
 pub fn multi_grid_view(comm: &Comm, dims: &[usize]) -> MultiGridComm {
     assert!(dims.len() >= 2, "a multi-level grid needs >= 2 levels");
     assert!(dims.iter().all(|&d| d >= 2), "level fan-outs must be >= 2");
@@ -547,51 +476,37 @@ mod tests {
     }
 
     #[test]
-    fn multi_grid_view_matches_grid_view_at_two_levels() {
-        use crate::runner::{run_spmd, RunConfig};
-        // dims = [c, r] must reproduce grid_view's row/column comms:
-        // level 1 exchange ≙ row comm (size c, rank = col), level 2
-        // exchange ≙ column comm (size r, rank = row).
-        let (r, c) = (2usize, 3usize);
-        let res = run_spmd(r * c, RunConfig::default(), move |comm| {
-            let g2 = grid_view(comm, r, c);
-            let gm = multi_grid_view(comm, &[c, r]);
-            let l = gm.levels();
-            assert_eq!(l[0].exchange.size(), g2.row.size());
-            assert_eq!(l[0].exchange.rank(), g2.row.rank());
-            assert_eq!(l[1].exchange.size(), g2.col.size());
-            assert_eq!(l[1].exchange.rank(), g2.col.rank());
-            true
-        });
-        assert!(res.values.iter().all(|&ok| ok));
-    }
-
-    #[test]
     fn grid_view_mapping_and_routing() {
         use crate::runner::{run_spmd, RunConfig};
         use crate::Tag;
+        // dims = [c, r] is the column-major r×c grid: level 0 exchange ≙
+        // row comm (size c, rank = col), level 1 exchange ≙ column comm
+        // (size r, rank = row).
         let (r, c) = (2usize, 3usize);
         let res = run_spmd(r * c, RunConfig::default(), move |comm| {
-            let g = grid_view(comm, r, c);
-            assert_eq!((g.rows(), g.cols()), (r, c));
-            assert_eq!(g.row.size(), c);
-            assert_eq!(g.col.size(), r);
+            let g = multi_grid_view(comm, &[c, r]);
+            let (row, col) = (&g.levels()[0].exchange, &g.levels()[1].exchange);
+            assert_eq!(g.dims(), vec![c, r]);
+            assert_eq!(row.size(), c);
+            assert_eq!(col.size(), r);
+            let (my_row, my_col) = (col.rank(), row.rank());
+            let rank_of = |i: usize, j: usize| j * r + i;
             // Column-major mapping: v = col·r + row.
-            assert_eq!(comm.rank(), g.rank_of(g.my_row(), g.my_col()));
-            assert_eq!(g.my_row(), comm.rank() % r);
-            assert_eq!(g.my_col(), comm.rank() / r);
+            assert_eq!(comm.rank(), rank_of(my_row, my_col));
+            assert_eq!(my_row, comm.rank() % r);
+            assert_eq!(my_col, comm.rank() / r);
             // Row and column comms route independently even with the same
             // tag in flight everywhere: ring-pass the world rank in both.
             let t = Tag::user(3);
-            g.row.send((g.my_col() + 1) % c, t, vec![comm.rank() as u8]);
-            let from_row = g.row.recv((g.my_col() + c - 1) % c, t);
-            g.col.send((g.my_row() + 1) % r, t, vec![comm.rank() as u8]);
-            let from_col = g.col.recv((g.my_row() + r - 1) % r, t);
-            let expect_row = g.rank_of(g.my_row(), (g.my_col() + c - 1) % c);
-            let expect_col = g.rank_of((g.my_row() + r - 1) % r, g.my_col());
+            row.send((my_col + 1) % c, t, vec![comm.rank() as u8]);
+            let from_row = row.recv((my_col + c - 1) % c, t);
+            col.send((my_row + 1) % r, t, vec![comm.rank() as u8]);
+            let from_col = col.recv((my_row + r - 1) % r, t);
+            let expect_row = rank_of(my_row, (my_col + c - 1) % c);
+            let expect_col = rank_of((my_row + r - 1) % r, my_col);
             assert_eq!(from_row, vec![expect_row as u8]);
             assert_eq!(from_col, vec![expect_col as u8]);
-            (g.my_row(), g.my_col())
+            (my_row, my_col)
         });
         // Every grid position is occupied exactly once.
         let mut seen: Vec<(usize, usize)> = res.values;

@@ -14,13 +14,14 @@
 //!   subslice, no per-bucket copy;
 //! * **pooled decode scratch** — received runs are decoded into a ring of
 //!   [`DecodedRun`]s owned by the engine, so repeated exchanges through
-//!   the same engine (MS2L's two levels, hQuick's placement, benchmark
-//!   loops) reach steady state with near-zero decode-side allocations.
+//!   the same engine (the grid levels of the merge sort, hQuick's
+//!   placement, benchmark loops) reach steady state with near-zero
+//!   decode-side allocations.
 //!
 //! The engine is topology-agnostic: it exchanges over whatever
 //! communicator it is handed — the world communicator for the
-//! single-level algorithms, a row or column communicator of a
-//! [`dss_net::GridComm`] for the two-level ones. Because every bucket is
+//! single-level algorithms, one level's exchange communicator of a
+//! [`dss_net::MultiGridComm`] for the grid ones. Because every bucket is
 //! a contiguous slice of the *sorted* local set, its run-local LCP array
 //! is just the corresponding slice of the local LCP array (first entry
 //! zeroed); LCP compression then transmits each string as `(lcp, suffix)`
@@ -129,21 +130,6 @@ pub enum ExchangeCodec {
     /// are recomputed after a plain-tagged decode), so downstream LCP
     /// merges — and the output — are byte-identical to the fixed codecs'.
     Auto,
-}
-
-impl ExchangeCodec {
-    /// The codec an LCP-capable sorter config resolves to: [`Self::Auto`]
-    /// when per-destination selection is on (it overrides `delta_lcps`),
-    /// else the fixed LCP flavor the `delta_lcps` knob names.
-    pub fn for_lcp_config(delta_lcps: bool, auto_codec: bool) -> Self {
-        if auto_codec {
-            ExchangeCodec::Auto
-        } else if delta_lcps {
-            ExchangeCodec::LcpDelta
-        } else {
-            ExchangeCodec::LcpCompressed
-        }
-    }
 }
 
 /// Wire tags of [`ExchangeCodec::Auto`] messages (first byte of the

@@ -15,7 +15,7 @@
 use crate::exchange::{ExchangeCodec, ExchangeMode, ExchangePayload, StringAllToAll};
 use crate::output::SortedRun;
 use crate::partition::{self, PartitionConfig, SamplingPolicy};
-use crate::DistSorter;
+use crate::{reject_sentinel_bytes, DistSorter};
 use dss_net::Comm;
 use dss_strkit::sort::{par_sort_with_lcp, threads_from_env};
 use dss_strkit::StringSet;
@@ -57,6 +57,7 @@ impl DistSorter for FkMerge {
 
     fn sort(&self, comm: &Comm, mut input: StringSet) -> SortedRun {
         comm.set_phase("local_sort");
+        reject_sentinel_bytes(comm, &input);
         let (lcps, _) = par_sort_with_lcp(&mut input, self.threads);
         if comm.size() == 1 {
             return SortedRun::plain(input);

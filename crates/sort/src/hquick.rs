@@ -22,7 +22,7 @@
 //! hQuick lose to the genuine string sorters on anything large.
 
 use crate::output::SortedRun;
-use crate::DistSorter;
+use crate::{reject_sentinel_bytes, DistSorter};
 use dss_codec::wire;
 use dss_net::topology;
 use dss_net::{Comm, SplitMix64};
@@ -69,6 +69,10 @@ impl DistSorter for HQuick {
     }
 
     fn sort(&self, comm: &Comm, input: StringSet) -> SortedRun {
+        // The ingestion check is local work: charge it to local_sort, as
+        // every sorter does, not to the placement that follows.
+        comm.set_phase("local_sort");
+        reject_sentinel_bytes(comm, &input);
         let (mut set, _) = hquick_sort(comm, input, true, self.mode);
         comm.set_phase("local_sort");
         let (lcps, _) = par_sort_with_lcp(&mut set, self.threads);

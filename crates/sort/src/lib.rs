@@ -1,20 +1,24 @@
 //! # dss-sort — distributed string sorting (the paper's contribution)
 //!
-//! The six algorithms evaluated in §VII plus the two-level extension,
+//! The six algorithms evaluated in §VII plus the multi-level extensions,
 //! over the [`dss_net`] runtime:
 //!
-//! | algorithm | module | paper | idea |
+//! | algorithm | preset | paper | idea |
 //! |---|---|---|---|
 //! | `hQuick` | [`hquick`] | §IV | hypercube atomic quicksort adapted to strings: polylog latency, moves all data log p times |
 //! | `FKmerge` | [`fkmerge`] | §II-C, \[15\] | Fischer–Kurpicz mergesort: deterministic sampling, centralized sample sort, plain loser tree |
-//! | `MS-simple` | [`ms`] | §V | distributed string mergesort without LCP optimizations |
-//! | `MS` | [`ms`] | §V | + LCP compression on the wire and LCP loser-tree merge |
-//! | `PDMS` | [`pdms`] | §VI | + prefix doubling: transmit only (approximate) distinguishing prefixes |
-//! | `PDMS-Golomb` | [`pdms`] | §VI-A | + Golomb-coded fingerprint traffic in the duplicate detection |
-//! | `MS2L` | [`ms2l`] | Kurpicz, Mehnert, Sanders, Schimek 2024 | two-level grid exchange: row then column over an r×c grid, `O(r + c)` partners per PE instead of `Θ(p)` |
-//! | `MSML` | [`msml`] | Kurpicz, Mehnert, Sanders, Schimek 2024 | recursive ℓ-level grid exchange for `p = d₁·…·dₗ` with per-group splitter sampling: `Σ(dᵢ − 1)` partners per PE |
-//! | `PD-MS2L` | [`pdms_grid`] | §VI × the 2024 follow-up | prefix doubling on the two-level grid: ship only distinguishing prefixes over `(r − 1) + (c − 1)` partners, permutation output |
-//! | `PD-MSML` | [`pdms_grid`] | §VI × the 2024 follow-up | prefix doubling on the ℓ-level grid: distinguishing prefixes over `Σ(dᵢ − 1)` partners, permutation output |
+//! | `MS-simple` | [`merge_sort`]: `Flat`, `Plain` codec | §V | distributed string mergesort without LCP optimizations |
+//! | `MS` | [`merge_sort`]: `Flat` | §V | + LCP compression on the wire and LCP loser-tree merge |
+//! | `PDMS` | [`merge_sort`]: `Flat` + prefix doubling | §VI | + prefix doubling: transmit only (approximate) distinguishing prefixes |
+//! | `PDMS-Golomb` | [`merge_sort`]: `Flat` + Golomb prefix doubling | §VI-A | + Golomb-coded fingerprint traffic in the duplicate detection |
+//! | `MS2L` | [`merge_sort`]: `Grid` | Kurpicz, Mehnert, Sanders, Schimek 2024 | two-level grid exchange: row then column over an r×c grid, `O(r + c)` partners per PE instead of `Θ(p)` |
+//! | `MSML` | [`merge_sort`]: `Multi` | Kurpicz, Mehnert, Sanders, Schimek 2024 | recursive ℓ-level grid exchange for `p = d₁·…·dₗ` with per-group splitter sampling: `Σ(dᵢ − 1)` partners per PE |
+//! | `PD-MS2L` | [`merge_sort`]: `Grid` + prefix doubling | §VI × the 2024 follow-up | distinguishing prefixes over `(r − 1) + (c − 1)` partners, permutation output |
+//! | `PD-MSML` | [`merge_sort`]: `Multi` + prefix doubling | §VI × the 2024 follow-up | distinguishing prefixes over `Σ(dᵢ − 1)` partners, permutation output |
+//!
+//! The eight merge-sort members are one driver, [`MergeSort`], configured
+//! by a [`LevelPlan`] and an optional prefix-doubling front;
+//! [`Algorithm::instance_with`] holds the presets.
 //!
 //! Supporting modules: [`partition`] (string- and character-based regular
 //! sampling, Theorems 2 and 3; splitter determination), [`exchange`] (the
@@ -50,29 +54,41 @@ pub mod checker;
 pub mod exchange;
 pub mod fkmerge;
 pub mod hquick;
-pub mod ms;
-pub mod ms2l;
-pub mod msml;
+pub mod merge_sort;
 pub mod output;
 pub mod partition;
-pub mod pdms;
-pub mod pdms_grid;
+#[cfg(test)]
+mod test_support;
 
 pub use exchange::{
     parse_exchange_mode, ExchangeCodec, ExchangeMode, ExchangePayload, StringAllToAll,
 };
 pub use fkmerge::FkMerge;
 pub use hquick::HQuick;
-pub use ms::{Ms, MsConfig};
-pub use ms2l::{Ms2l, Ms2lConfig};
-pub use msml::{parse_msml_levels, Msml, MsmlConfig};
+pub use merge_sort::{parse_msml_levels, LevelPlan, MergeSort, MergeSortConfig};
 pub use output::SortedRun;
 pub use partition::{PartitionConfig, SamplingPolicy};
-pub use pdms::{Pdms, PdmsConfig};
-pub use pdms_grid::{PdMs2l, PdMs2lConfig, PdMsml, PdMsmlConfig};
 
+use dss_dedup::prefix_doubling::PrefixDoublingConfig;
 use dss_net::Comm;
 use dss_strkit::StringSet;
+
+/// Ingestion check of every sorter: byte 0 is the strings' implicit
+/// end-of-string sentinel, so an input string containing it would sort
+/// wrongly. Panics naming the PE and the local string index; the
+/// runtime's poison pill then ends the other PEs' run as well.
+pub(crate) fn reject_sentinel_bytes(comm: &Comm, set: &StringSet) {
+    // One scan of the whole arena; only a hit pays the per-string search.
+    if !set.arena().contains(&0) {
+        return;
+    }
+    if let Some(i) = (0..set.len()).find(|&i| set.get(i).contains(&0)) {
+        panic!(
+            "PE {}: input string {i} contains byte 0, the reserved end-of-string sentinel",
+            comm.rank()
+        );
+    }
+}
 
 /// A distributed string sorter: every PE calls [`DistSorter::sort`] with
 /// its local shard; afterwards PE i's output precedes PE i+1's and is
@@ -84,8 +100,8 @@ pub trait DistSorter: Send + Sync {
     fn sort(&self, comm: &Comm, input: StringSet) -> SortedRun;
 }
 
-/// The named algorithm set of the evaluation (§VII-C) plus the two-level
-/// extension, for harnesses.
+/// The named algorithm set of the evaluation (§VII-C) plus the multi-level
+/// extensions, for harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     FkMerge,
@@ -152,52 +168,33 @@ impl Algorithm {
     /// process without env-var races.
     pub fn instance_with(&self, mode: ExchangeMode, threads: usize) -> Box<dyn DistSorter> {
         assert!(threads >= 1, "thread count must be positive, got 0");
-        match self {
-            Algorithm::FkMerge => Box::new(FkMerge { mode, threads }),
-            Algorithm::HQuick => Box::new(HQuick { mode, threads }),
-            Algorithm::MsSimple => Box::new(Ms::with_config(MsConfig {
-                lcp: false,
-                mode,
-                threads,
-                ..MsConfig::default()
-            })),
-            Algorithm::Ms => Box::new(Ms::with_config(MsConfig {
-                mode,
-                threads,
-                ..MsConfig::default()
-            })),
-            Algorithm::PdmsGolomb => {
-                let mut cfg = Pdms::golomb().cfg;
-                cfg.mode = mode;
-                cfg.threads = threads;
-                Box::new(Pdms::with_config(cfg))
-            }
-            Algorithm::Pdms => Box::new(Pdms::with_config(PdmsConfig {
-                mode,
-                threads,
-                ..PdmsConfig::default()
-            })),
-            Algorithm::Ms2l => Box::new(Ms2l::with_config(Ms2lConfig {
-                mode,
-                threads,
-                ..Ms2lConfig::default()
-            })),
-            Algorithm::Msml => Box::new(Msml::with_config(MsmlConfig {
-                mode,
-                threads,
-                ..MsmlConfig::default()
-            })),
-            Algorithm::PdMs2l => Box::new(PdMs2l::with_config(PdMs2lConfig {
-                mode,
-                threads,
-                ..PdMs2lConfig::default()
-            })),
-            Algorithm::PdMsml => Box::new(PdMsml::with_config(PdMsmlConfig {
-                mode,
-                threads,
-                ..PdMsmlConfig::default()
-            })),
-        }
+        let pd = Some(PrefixDoublingConfig::default());
+        let golomb = Some(PrefixDoublingConfig {
+            golomb: true,
+            ..PrefixDoublingConfig::default()
+        });
+        let grid = LevelPlan::Grid { rows: 0 };
+        let lcp = ExchangeCodec::LcpCompressed;
+        let (plan, prefix, codec) = match self {
+            Algorithm::FkMerge => return Box::new(FkMerge { mode, threads }),
+            Algorithm::HQuick => return Box::new(HQuick { mode, threads }),
+            Algorithm::MsSimple => (LevelPlan::Flat, None, ExchangeCodec::Plain),
+            Algorithm::Ms => (LevelPlan::Flat, None, lcp),
+            Algorithm::PdmsGolomb => (LevelPlan::Flat, golomb, lcp),
+            Algorithm::Pdms => (LevelPlan::Flat, pd, lcp),
+            Algorithm::Ms2l => (grid, None, lcp),
+            Algorithm::Msml => (LevelPlan::multi_from_env(), None, lcp),
+            Algorithm::PdMs2l => (grid, pd, lcp),
+            Algorithm::PdMsml => (LevelPlan::multi_from_env(), pd, lcp),
+        };
+        Box::new(MergeSort::with_config(MergeSortConfig {
+            plan,
+            prefix,
+            codec,
+            mode,
+            threads,
+            partition: PartitionConfig::default(),
+        }))
     }
 
     /// Plot label.

@@ -178,6 +178,7 @@ impl<'a> Ctx<'a> {
 /// algorithms for their local sorting step.
 pub fn sort_refs_with_lcp(arena: &[u8], refs: &mut [StrRef], lcps: &mut [u32]) -> SortStats {
     assert_eq!(refs.len(), lcps.len());
+    debug_assert_no_sentinel(arena, refs);
     if refs.is_empty() {
         return SortStats::default();
     }
@@ -186,6 +187,16 @@ pub fn sort_refs_with_lcp(arena: &[u8], refs: &mut [StrRef], lcps: &mut [u32]) -
     radix::msd_radix_sort(&mut ctx, refs, &mut scratch, lcps, 0);
     lcps[0] = 0;
     ctx.stats
+}
+
+/// Debug-build guard of the sorters' precondition: no string contains
+/// byte 0, the implicit end-of-string sentinel.
+pub(crate) fn debug_assert_no_sentinel(arena: &[u8], refs: &[StrRef]) {
+    debug_assert!(
+        refs.iter()
+            .all(|r| !arena[r.begin as usize..r.end() as usize].contains(&0)),
+        "strings must not contain the 0 sentinel byte"
+    );
 }
 
 /// Sorts a [`StringSet`] in place and returns its LCP array plus work

@@ -131,6 +131,7 @@ pub fn par_sort_refs_with_lcp(
     if threads == 1 || n <= PAR_TASK_MIN {
         return super::sort_refs_with_lcp(arena, refs, lcps);
     }
+    super::debug_assert_no_sentinel(arena, refs);
     // Full-length ping-pong scatter buffer, shared across workers (see
     // `SharedSlices`); the sequential path allocates the same buffer.
     let mut scratch = vec![StrRef::default(); n];

@@ -44,7 +44,7 @@ fn figure2() {
         let mut set = StringSet::from_strs(&PE_INPUTS[comm.rank()]);
         let (lcps, _) = sort_with_lcp(&mut set);
         // Step 2+3+4 all happen inside MS; run it for the final state.
-        let out = Ms::default().sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
+        let out = MergeSort::default().sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
         (
             set.to_vecs(),
             lcps,
@@ -109,9 +109,9 @@ fn figure3() {
         let mut set = StringSet::from_strs(&PE_INPUTS[comm.rank()]);
         let (lcps, _) = sort_with_lcp(&mut set);
         let (approx, stats) = approx_dist_prefixes(comm, &set, &lcps, &cfg);
-        let pdms = Pdms::with_config(PdmsConfig {
-            pd: cfg,
-            ..PdmsConfig::default()
+        let pdms = MergeSort::with_config(MergeSortConfig {
+            prefix: Some(cfg),
+            ..MergeSortConfig::default()
         });
         let out = pdms.sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
         (set.to_vecs(), approx, stats.iterations, out.set.to_vecs())

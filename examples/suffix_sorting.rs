@@ -36,7 +36,7 @@ fn main() {
         // so recompute it the same way the algorithm does.
         let mut sorted_local = shard.clone();
         let (_, _) = sort_with_lcp(&mut sorted_local);
-        let out = Pdms::default().sort(comm, shard);
+        let out = Algorithm::Pdms.instance().sort(comm, shard);
         let origins = out.origins.clone().expect("PDMS reports origins");
         (sorted_local.to_vecs(), origins)
     });
@@ -85,7 +85,7 @@ fn main() {
             cap: CAP,
         }
         .generate(comm.rank(), comm.size(), 5);
-        let out = Ms::default().sort(comm, shard);
+        let out = MergeSort::default().sort(comm, shard);
         out.set.len()
     });
     let ms_bytes = ms.stats.total_bytes_sent();

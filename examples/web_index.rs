@@ -41,7 +41,7 @@ fn main() {
     let result = run_spmd(p, RunConfig::default(), |comm| {
         let shard = Workload::Web { n_per_pe: 2000 }.generate(comm.rank(), comm.size(), 7);
         let input = shard.clone();
-        let out = Ms::default().sort(comm, shard);
+        let out = MergeSort::default().sort(comm, shard);
         check_distributed_sort(comm, &input, &out).expect("index is valid");
 
         // The LCP array comes for free and is exactly what a prefix

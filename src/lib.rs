@@ -8,8 +8,7 @@
 //! multiway merging, Golomb-coded distributed duplicate detection, and
 //! the paper's workload generators.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See `README.md` for a tour of the system and its measured results.
 //!
 //! ## Quick start
 //!
@@ -46,9 +45,8 @@ pub mod prelude {
     pub use dss_net::{Comm, CostModel, NetStats};
     pub use dss_sort::checker::check_distributed_sort;
     pub use dss_sort::{
-        Algorithm, DistSorter, ExchangeCodec, ExchangeMode, ExchangePayload, FkMerge, HQuick, Ms,
-        Ms2l, Ms2lConfig, MsConfig, Msml, MsmlConfig, PdMs2l, PdMs2lConfig, PdMsml, PdMsmlConfig,
-        Pdms, PdmsConfig, SortedRun, StringAllToAll,
+        Algorithm, DistSorter, ExchangeCodec, ExchangeMode, ExchangePayload, FkMerge, HQuick,
+        LevelPlan, MergeSort, MergeSortConfig, SortedRun, StringAllToAll,
     };
     pub use dss_strkit::sort::sort_with_lcp;
     pub use dss_strkit::StringSet;

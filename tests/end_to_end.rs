@@ -397,3 +397,66 @@ fn fully_empty_inputs_survive_splitter_padding() {
         assert_eq!(result.values.iter().sum::<usize>(), 0, "{}", alg.label());
     }
 }
+
+/// Byte 0 is the strings' end-of-string sentinel, so every sorter rejects
+/// it at ingestion instead of returning mis-sorted output: the PE holding
+/// it panics naming itself and the string's local index, and the
+/// runtime's poison pill ends every other PE's run (no hang until the
+/// receive timeout).
+#[test]
+fn byte_zero_input_fails_loudly_on_every_algorithm() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let p = 4;
+    // Strings over {1, 2}; PE r's string 3 gets a 0 byte when `zero(r)`.
+    let shard = |rank: usize, zero: bool| -> StringSet {
+        let mut set = StringSet::new();
+        for i in 0..200usize {
+            let mut s: Vec<u8> = (0..1 + (i * 7 + rank) % 9)
+                .map(|j| 1 + ((i + j * 3 + rank) % 2) as u8)
+                .collect();
+            if zero && i == 3 {
+                s[0] = 0;
+            }
+            set.push(&s);
+        }
+        set
+    };
+    let cfg = RunConfig {
+        recv_timeout: std::time::Duration::from_secs(60),
+        ..RunConfig::default()
+    };
+    for alg in Algorithm::all_extended() {
+        // (the PE holding a 0, or every PE for `None`; the message rank
+        // 0's panic must carry): with the 0 on PE 2 only, rank 0 aborts
+        // on the poison pill or on the closed mailbox of the terminated
+        // peer, not on a timeout.
+        let cases = [
+            (None, "PE 0: input string 3 contains byte 0"),
+            (Some(2), "peer PE"),
+        ];
+        for (zero_on, expect) in cases {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_spmd(p, cfg.clone(), |comm| {
+                    let zero = zero_on.is_none_or(|z| z == comm.rank());
+                    let set = shard(comm.rank(), zero);
+                    let out = alg.instance_with(ExchangeMode::Blocking, 1).sort(comm, set);
+                    out.set.len()
+                })
+            }));
+            let payload = match outcome {
+                Ok(res) => panic!("{}: byte 0 returned output {:?}", alg.label(), res.values),
+                Err(e) => e,
+            };
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains(expect),
+                "{}: expected a panic containing '{expect}', got '{msg}'",
+                alg.label()
+            );
+        }
+    }
+}

@@ -45,13 +45,13 @@ fn duplicate_flood(p: usize) -> Vec<Vec<Vec<u8>>> {
 #[test]
 fn tie_break_balances_duplicate_floods() {
     let shards = duplicate_flood(4);
-    let plain = Ms::default();
-    let tie = Ms::with_config(MsConfig {
+    let plain = MergeSort::default();
+    let tie = MergeSort::with_config(MergeSortConfig {
         partition: PartitionConfig {
             duplicate_tie_break: true,
             ..PartitionConfig::default()
         },
-        ..MsConfig::default()
+        ..MergeSortConfig::default()
     });
     let plain_sizes = sort_and_check(&plain, &shards);
     let tie_sizes = sort_and_check(&tie, &shards);
@@ -73,13 +73,13 @@ fn random_sampling_sorts_correctly() {
                 .collect()
         })
         .collect();
-    let sorter = Ms::with_config(MsConfig {
+    let sorter = MergeSort::with_config(MergeSortConfig {
         partition: PartitionConfig {
             random_sampling: true,
             oversampling: 12,
             ..PartitionConfig::default()
         },
-        ..MsConfig::default()
+        ..MergeSortConfig::default()
     });
     sort_and_check(&sorter, &shards);
 }
@@ -87,22 +87,22 @@ fn random_sampling_sorts_correctly() {
 #[test]
 fn pdms_with_all_extensions_sorts() {
     let shards = duplicate_flood(4);
-    let sorter = Pdms::with_config(PdmsConfig {
-        pd: PrefixDoublingConfig {
+    let sorter = MergeSort::with_config(MergeSortConfig {
+        prefix: Some(PrefixDoublingConfig {
             golomb: true,
             latency_optimal: true,
             growth_num: 3,
             growth_den: 2,
             ..PrefixDoublingConfig::default()
-        },
+        }),
         partition: PartitionConfig {
             policy: SamplingPolicy::DistPrefix,
             duplicate_tie_break: true,
             random_sampling: true,
             ..PartitionConfig::default()
         },
-        delta_lcps: true,
-        ..PdmsConfig::default()
+        codec: ExchangeCodec::LcpDelta,
+        ..MergeSortConfig::default()
     });
     sort_and_check(&sorter, &shards);
 }
@@ -117,9 +117,13 @@ fn ms_delta_lcp_volume_not_worse_on_smooth_lcps() {
             for i in 0..2000u32 {
                 set.push(format!("prefix-{:06}-{}", i, comm.rank()).as_bytes());
             }
-            let sorter = Ms::with_config(MsConfig {
-                delta_lcps: delta,
-                ..MsConfig::default()
+            let sorter = MergeSort::with_config(MergeSortConfig {
+                codec: if delta {
+                    ExchangeCodec::LcpDelta
+                } else {
+                    ExchangeCodec::LcpCompressed
+                },
+                ..MergeSortConfig::default()
             });
             let _ = sorter.sort(comm, set);
         });

@@ -171,7 +171,7 @@ fn golomb_shrinks_dedup_traffic() {
 fn pdms_on_pure_duplicates_ships_full_strings_once_each_pe() {
     let result = run_spmd(2, RunConfig::default(), |comm| {
         let shard = StringSet::from_strs(&["copy"; 50]);
-        let out = Pdms::default().sort(comm, shard);
+        let out = Algorithm::Pdms.instance().sort(comm, shard);
         out.set.iter().map(|s| s.len()).sum::<usize>()
     });
     // Every output prefix is the full 4-char string.

@@ -65,7 +65,7 @@ fn figure2_step2_samples_and_splitters() {
 #[test]
 fn figure2_full_ms_result() {
     let result = run_spmd(3, RunConfig::default(), |comm| {
-        let out = Ms::default().sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
+        let out = MergeSort::default().sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
         (out.set.to_vecs(), out.lcps.expect("MS emits LCPs"))
     });
     let all: Vec<String> = result
@@ -129,12 +129,12 @@ fn figure3_prefix_doubling_depths() {
 #[test]
 fn figure3_pdms_transmits_prefixes_only() {
     let result = run_spmd(3, RunConfig::default(), |comm| {
-        let pdms = Pdms::with_config(PdmsConfig {
-            pd: PrefixDoublingConfig {
+        let pdms = MergeSort::with_config(MergeSortConfig {
+            prefix: Some(PrefixDoublingConfig {
                 initial: Some(1),
                 ..PrefixDoublingConfig::default()
-            },
-            ..PdmsConfig::default()
+            }),
+            ..MergeSortConfig::default()
         });
         let out = pdms.sort(comm, StringSet::from_strs(&PE_INPUTS[comm.rank()]));
         out.set.to_vecs()

@@ -74,7 +74,7 @@ fn suffix_sorting_example_pipeline_matches_sequential_oracle() {
         .generate(comm.rank(), comm.size(), 5);
         let mut sorted_local = shard.clone();
         let (_, _) = sort_with_lcp(&mut sorted_local);
-        let out = Pdms::default().sort(comm, shard);
+        let out = Algorithm::Pdms.instance().sort(comm, shard);
         let origins = out.origins.clone().expect("PDMS reports origins");
         (sorted_local.to_vecs(), origins)
     });
