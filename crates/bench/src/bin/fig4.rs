@@ -9,13 +9,12 @@
 //! Usage:
 //!   cargo run --release -p dss-bench --bin fig4 -- [--pes 2,4,8,16,32]
 //!       [--n-per-pe 1000] [--len 100] [--sigma 16] [--no-check] [--out results/fig4.csv]
+//!       [--reps 3] [--seed 20260611] [--alpha-us 5] [--beta-ns 1]
 
 use dss_bench::cli::Args;
-use dss_bench::harness::run_repeated_with_model;
 use dss_bench::table::speedup_at;
-use dss_bench::{print_table, write_csv};
+use dss_bench::{measure, print_table, write_csv, MeasureOpts};
 use dss_gen::Workload;
-use dss_net::CostModel;
 use dss_sort::Algorithm;
 use std::path::PathBuf;
 
@@ -25,14 +24,7 @@ fn main() {
     let n_per_pe: usize = args.get("n-per-pe", 1000);
     let len: usize = args.get("len", 100);
     let sigma: u8 = args.get("sigma", 16);
-    let check = !args.has("no-check");
-    let seed: u64 = args.get("seed", 20260611);
-    let reps: usize = args.get("reps", 3);
-    // α–β cost model, calibratable from the command line.
-    let model = CostModel {
-        alpha_ns: args.get("alpha-us", 5.0f64) * 1e3,
-        beta_ns_per_byte: args.get("beta-ns", 1.0f64),
-    };
+    let opts = MeasureOpts::from_args(&args);
     let out: PathBuf = PathBuf::from(args.get_str("out", "results/fig4.csv"));
 
     let ratios = [0.0f64, 0.25, 0.5, 0.75, 1.0];
@@ -46,22 +38,13 @@ fn main() {
         };
         for &p in &pes {
             for alg in Algorithm::all_paper() {
-                let res = run_repeated_with_model(
-                    alg.label(),
-                    &*alg.instance(),
-                    &w,
-                    p,
-                    seed,
-                    check,
-                    reps,
-                    &model,
-                );
+                let res = measure(alg.label(), &*alg.instance(), &w, p, &opts);
                 eprintln!(
                     "r={r:<4} p={p:<3} {:<12} modeled={:>9.2}ms bytes/str={:>8.1} {}",
-                    res.algorithm,
-                    res.modeled.as_secs_f64() * 1e3,
-                    res.bytes_per_string,
-                    if res.check_ok { "ok" } else { "CHECK-FAIL" },
+                    res.label,
+                    res.modeled().as_secs_f64() * 1e3,
+                    res.bytes_per_string(),
+                    res.check_label(),
                 );
                 results.push(res);
             }

@@ -8,13 +8,12 @@
 //! Usage:
 //!   cargo run --release -p dss-bench --bin fig5 -- [--input web|dna|both]
 //!       [--pes 4,8,16,32] [--n-total 24000] [--no-check]
+//!       [--reps 3] [--seed 20260611] [--alpha-us 5] [--beta-ns 1]
 
 use dss_bench::cli::Args;
-use dss_bench::harness::run_repeated_with_model;
 use dss_bench::table::speedup_at;
-use dss_bench::{print_table, write_csv};
+use dss_bench::{measure, print_table, write_csv, MeasureOpts, Measurement};
 use dss_gen::Workload;
-use dss_net::CostModel;
 use dss_sort::Algorithm;
 use std::path::PathBuf;
 
@@ -22,19 +21,16 @@ fn main() {
     let args = Args::parse();
     let pes = args.get_usize_list("pes", &[4, 8, 16, 32]);
     let n_total: usize = args.get("n-total", 24_000);
-    let check = !args.has("no-check");
-    let seed: u64 = args.get("seed", 20260611);
     let input = args.get_str("input", "both");
-    let reps: usize = args.get("reps", 3);
-    // α–β cost model, calibratable from the command line.
-    let model = CostModel {
-        alpha_ns: args.get("alpha-us", 5.0f64) * 1e3,
-        beta_ns_per_byte: args.get("beta-ns", 1.0f64),
-    };
+    assert!(
+        matches!(input.as_str(), "web" | "dna" | "both"),
+        "--input must be web, dna or both, got '{input}'"
+    );
+    let opts = MeasureOpts::from_args(&args);
     let out: PathBuf = PathBuf::from(args.get_str("out", "results/fig5.csv"));
 
     let mut results = Vec::new();
-    let run_panel = |name: &str, results: &mut Vec<dss_bench::ExperimentResult>| {
+    let run_panel = |name: &str, results: &mut Vec<Measurement>| {
         for &p in &pes {
             let w = match name {
                 "web" => Workload::Web {
@@ -45,23 +41,14 @@ fn main() {
                 },
             };
             for alg in Algorithm::all_paper() {
-                let res = run_repeated_with_model(
-                    alg.label(),
-                    &*alg.instance(),
-                    &w,
-                    p,
-                    seed,
-                    check,
-                    reps,
-                    &model,
-                );
+                let res = measure(alg.label(), &*alg.instance(), &w, p, &opts);
                 eprintln!(
                     "{:<12} p={p:<3} {:<12} modeled={:>9.2}ms bytes/str={:>8.1} {}",
                     res.workload,
-                    res.algorithm,
-                    res.modeled.as_secs_f64() * 1e3,
-                    res.bytes_per_string,
-                    if res.check_ok { "ok" } else { "CHECK-FAIL" },
+                    res.label,
+                    res.modeled().as_secs_f64() * 1e3,
+                    res.bytes_per_string(),
+                    res.check_label(),
                 );
                 results.push(res);
             }

@@ -15,43 +15,25 @@
 //! Usage: cargo run --release -p dss-bench --bin further -- --exp all
 
 use dss_bench::cli::Args;
-use dss_bench::harness::run_repeated_with_model;
-use dss_bench::{print_table, write_csv, ExperimentResult};
+use dss_bench::{measure, print_table, write_csv, MeasureOpts, Measurement};
 use dss_dedup::prefix_doubling::PrefixDoublingConfig;
 use dss_gen::Workload;
-use dss_net::CostModel;
 use dss_sort::partition::{PartitionConfig, SamplingPolicy};
 use dss_sort::{Algorithm, ExchangeCodec, MergeSort, MergeSortConfig};
 use std::path::PathBuf;
 
-fn paper_algorithms(
-    w: &Workload,
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn paper_algorithms(w: &Workload, pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     let mut out = Vec::new();
     for &p in pes {
         for alg in Algorithm::all_paper() {
-            let res = run_repeated_with_model(
-                alg.label(),
-                &*alg.instance(),
-                w,
-                p,
-                seed,
-                check,
-                reps,
-                model,
-            );
+            let res = measure(alg.label(), &*alg.instance(), w, p, opts);
             eprintln!(
                 "{:<14} p={p:<3} {:<12} modeled={:>9.2}ms bytes/str={:>8.1} {}",
                 res.workload,
-                res.algorithm,
-                res.modeled.as_secs_f64() * 1e3,
-                res.bytes_per_string,
-                if res.check_ok { "ok" } else { "CHECK-FAIL" },
+                res.label,
+                res.modeled().as_secs_f64() * 1e3,
+                res.bytes_per_string(),
+                res.check_label(),
             );
             out.push(res);
         }
@@ -59,28 +41,22 @@ fn paper_algorithms(
     out
 }
 
-fn exp_suffix(
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn exp_suffix(pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     let w = Workload::Suffix {
         text_len: 6000,
         cap: 500,
     };
-    let results = paper_algorithms(&w, pes, seed, check, reps, model);
+    let results = paper_algorithms(&w, pes, opts);
     let p = *pes.last().expect("non-empty");
     let pdms = results
         .iter()
-        .filter(|r| r.p == p && r.algorithm.starts_with("PDMS"))
-        .map(|r| r.modeled.as_secs_f64())
+        .filter(|r| r.p == p && r.label.starts_with("PDMS"))
+        .map(|r| r.modeled().as_secs_f64())
         .fold(f64::INFINITY, f64::min);
     let others = results
         .iter()
-        .filter(|r| r.p == p && !r.algorithm.starts_with("PDMS"))
-        .map(|r| r.modeled.as_secs_f64())
+        .filter(|r| r.p == p && !r.label.starts_with("PDMS"))
+        .map(|r| r.modeled().as_secs_f64())
         .fold(f64::INFINITY, f64::min);
     println!(
         "suffix instance at p={p}: PDMS vs best non-PDMS = {:.1}x (paper: ~30x at p=160)",
@@ -89,29 +65,17 @@ fn exp_suffix(
     results
 }
 
-fn exp_skewed(
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn exp_skewed(pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     let w = Workload::SkewedDnRatio {
         n_per_pe: 800,
         len: 100,
         r: 0.5,
         sigma: 16,
     };
-    paper_algorithms(&w, pes, seed, check, reps, model)
+    paper_algorithms(&w, pes, opts)
 }
 
-fn exp_sampling(
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn exp_sampling(pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     // MS with string- vs character-based sampling on uniform and skewed
     // inputs; PDMS additionally with dist-prefix-based sampling.
     let uniform = Workload::DnRatio {
@@ -145,36 +109,9 @@ fn exp_sampling(
     let mut out = Vec::new();
     for w in [&uniform, &skewed] {
         for &p in pes {
-            out.push(run_repeated_with_model(
-                "MS/str-sample",
-                &ms_strings,
-                w,
-                p,
-                seed,
-                check,
-                reps,
-                model,
-            ));
-            out.push(run_repeated_with_model(
-                "MS/char-sample",
-                &ms_chars,
-                w,
-                p,
-                seed,
-                check,
-                reps,
-                model,
-            ));
-            out.push(run_repeated_with_model(
-                "PDMS/dist-sample",
-                &pdms_dist,
-                w,
-                p,
-                seed,
-                check,
-                reps,
-                model,
-            ));
+            out.push(measure("MS/str-sample", &ms_strings, w, p, opts));
+            out.push(measure("MS/char-sample", &ms_chars, w, p, opts));
+            out.push(measure("PDMS/dist-sample", &pdms_dist, w, p, opts));
         }
     }
     for r in &out {
@@ -182,31 +119,19 @@ fn exp_sampling(
             "{:<16} p={:<3} {:<16} modeled={:>9.2}ms imbalance-sensitive",
             r.workload,
             r.p,
-            r.algorithm,
-            r.modeled.as_secs_f64() * 1e3
+            r.label,
+            r.modeled().as_secs_f64() * 1e3
         );
     }
     out
 }
 
-fn exp_wiki(
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn exp_wiki(pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     let w = Workload::TextLines { n_per_pe: 800 };
-    paper_algorithms(&w, pes, seed, check, reps, model)
+    paper_algorithms(&w, pes, opts)
 }
 
-fn exp_ablation(
-    pes: &[usize],
-    seed: u64,
-    check: bool,
-    reps: usize,
-    model: &CostModel,
-) -> Vec<ExperimentResult> {
+fn exp_ablation(pes: &[usize], opts: &MeasureOpts) -> Vec<Measurement> {
     // Extension knobs on a low-D/N input where they matter most.
     let w = Workload::DnRatio {
         n_per_pe: 800,
@@ -240,84 +165,27 @@ fn exp_ablation(
     });
     let mut out = Vec::new();
     for &p in pes {
-        out.push(run_repeated_with_model(
-            "MS",
-            &MergeSort::default(),
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
-        out.push(run_repeated_with_model(
-            "MS/delta-lcp",
-            &ms_delta,
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
-        out.push(run_repeated_with_model(
-            "PDMS",
-            &*Algorithm::Pdms.instance(),
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
-        out.push(run_repeated_with_model(
+        out.push(measure("MS", &MergeSort::default(), &w, p, opts));
+        out.push(measure("MS/delta-lcp", &ms_delta, &w, p, opts));
+        out.push(measure("PDMS", &*Algorithm::Pdms.instance(), &w, p, opts));
+        out.push(measure(
             "PDMS-Golomb",
             &*Algorithm::PdmsGolomb.instance(),
             &w,
             p,
-            seed,
-            check,
-            reps,
-            model,
+            opts,
         ));
-        out.push(run_repeated_with_model(
-            "PDMS/hypercube",
-            &pdms_hypercube,
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
-        out.push(run_repeated_with_model(
-            "PDMS/eps=0.5",
-            &pdms_slow_growth,
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
-        out.push(run_repeated_with_model(
-            "PDMS/delta-lcp",
-            &pdms_delta,
-            &w,
-            p,
-            seed,
-            check,
-            reps,
-            model,
-        ));
+        out.push(measure("PDMS/hypercube", &pdms_hypercube, &w, p, opts));
+        out.push(measure("PDMS/eps=0.5", &pdms_slow_growth, &w, p, opts));
+        out.push(measure("PDMS/delta-lcp", &pdms_delta, &w, p, opts));
     }
     for r in &out {
         eprintln!(
             "ablation p={:<3} {:<16} modeled={:>9.2}ms bytes/str={:>8.1}",
             r.p,
-            r.algorithm,
-            r.modeled.as_secs_f64() * 1e3,
-            r.bytes_per_string
+            r.label,
+            r.modeled().as_secs_f64() * 1e3,
+            r.bytes_per_string()
         );
     }
     out
@@ -326,31 +194,32 @@ fn exp_ablation(
 fn main() {
     let args = Args::parse();
     let pes = args.get_usize_list("pes", &[4, 8, 16]);
-    let seed: u64 = args.get("seed", 20260611);
-    let check = !args.has("no-check");
     let exp = args.get_str("exp", "all");
-    let reps: usize = args.get("reps", 3);
-    let model = CostModel {
-        alpha_ns: args.get("alpha-us", 5.0f64) * 1e3,
-        beta_ns_per_byte: args.get("beta-ns", 1.0f64),
-    };
+    assert!(
+        matches!(
+            exp.as_str(),
+            "suffix" | "skewed" | "sampling" | "wiki" | "ablation" | "all"
+        ),
+        "--exp must be suffix, skewed, sampling, wiki, ablation or all, got '{exp}'"
+    );
+    let opts = MeasureOpts::from_args(&args);
     let out: PathBuf = PathBuf::from(args.get_str("out", "results/further.csv"));
 
     let mut results = Vec::new();
     if exp == "suffix" || exp == "all" {
-        results.extend(exp_suffix(&pes, seed, check, reps, &model));
+        results.extend(exp_suffix(&pes, &opts));
     }
     if exp == "skewed" || exp == "all" {
-        results.extend(exp_skewed(&pes, seed, check, reps, &model));
+        results.extend(exp_skewed(&pes, &opts));
     }
     if exp == "sampling" || exp == "all" {
-        results.extend(exp_sampling(&pes, seed, check, reps, &model));
+        results.extend(exp_sampling(&pes, &opts));
     }
     if exp == "wiki" || exp == "all" {
-        results.extend(exp_wiki(&pes, seed, check, reps, &model));
+        results.extend(exp_wiki(&pes, &opts));
     }
     if exp == "ablation" || exp == "all" {
-        results.extend(exp_ablation(&pes, seed, check, reps, &model));
+        results.extend(exp_ablation(&pes, &opts));
     }
     println!(
         "{}",

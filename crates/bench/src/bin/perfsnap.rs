@@ -17,54 +17,18 @@
 //! cells' `overlap_ratio` column), plus the sizing overrides `--seq-n`,
 //! `--dist-n`, `--pes`, `--reps`, `--seed`.
 //!
-//! The binary installs a counting global allocator so every cell reports
-//! allocator traffic; the library code is unchanged by the probe.
+//! `--only SUBSTR` runs only the cells whose `workload:algo` id contains
+//! it (e.g. `--only D/N=0:seq-sort`, `--only COMMONCRAWL:`). A
+//! distributed cell whose output fails the distributed check panics.
+//! Allocator traffic comes from the counting global allocator the
+//! `dss_bench` library installs.
 
 use dss_bench::cli::Args;
 use dss_bench::perfsnap::{
-    append_snapshot, merge_traces, run_snapshot_filtered, snapshot_json, take_recorded_traces,
-    SnapConfig,
+    append_snapshot, run_snapshot_filtered, snapshot_json, take_recorded_trace, SnapConfig,
 };
 use dss_net::trace;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator wrapper counting calls and requested bytes.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged; the counters
-// are side effects only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn probe() -> (u64, u64) {
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
 
 fn main() {
     let args = Args::parse();
@@ -107,12 +71,12 @@ fn main() {
     if !trace_out.is_empty() {
         trace::enable(trace::DEFAULT_SPAN_CAP);
     }
-    let cells = run_snapshot_filtered(&cfg, probe, &only);
+    let cells = run_snapshot_filtered(&cfg, &only);
     let snap = snapshot_json(&label, &cfg, &cells);
 
     eprintln!();
     eprintln!(
-        "{:<10} {:<10} {:>9} {:>11} {:>13} {:>14} {:>12} {:>10} {:>13} {:>9} {:>7}",
+        "{:<15} {:<11} {:>9} {:>11} {:>13} {:>14} {:>12} {:>10} {:>10} {:>13} {:>9} {:>7}",
         "workload",
         "algo",
         "n",
@@ -120,34 +84,33 @@ fn main() {
         "MB/s",
         "chars_accessed",
         "wire_B/str",
+        "model_ms",
         "allocs",
         "bytes_copied",
         "stall_ms",
         "overlap"
     );
+    let opt = |v: Option<String>| v.unwrap_or_else(|| "-".into());
     for c in &cells {
         eprintln!(
-            "{:<10} {:<10} {:>9} {:>11.2} {:>13.2} {:>14} {:>12} {:>10} {:>13} {:>9} {:>7}",
+            "{:<15} {:<11} {:>9} {:>11.2} {:>13.2} {:>14} {:>12} {:>10} {:>10} {:>13} {:>9} {:>7}",
             c.workload,
             c.algo,
             c.n,
             c.wall.as_secs_f64() * 1e3,
             c.mb_per_s,
-            c.chars_accessed
-                .map_or_else(|| "-".into(), |v| v.to_string()),
-            c.wire_bytes_per_string
-                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-            c.allocs,
-            c.bytes_copied,
-            c.comm_stall_ns
-                .map_or_else(|| "-".into(), |v| format!("{:.2}", v as f64 / 1e6)),
-            c.overlap_ratio
-                .map_or_else(|| "-".into(), |v| format!("{v:.3}")),
+            opt(c.chars_accessed.map(|v| v.to_string())),
+            opt(c.wire_bytes_per_string.map(|v| format!("{v:.1}"))),
+            opt(c.modeled_ms.map(|v| format!("{v:.2}"))),
+            c.counters.allocs,
+            c.counters.bytes_copied,
+            opt(c.comm_stall_ns.map(|v| format!("{:.2}", v as f64 / 1e6))),
+            opt(c.overlap_ratio.map(|v| format!("{v:.3}"))),
         );
     }
 
     if !trace_out.is_empty() {
-        let merged = merge_traces(take_recorded_traces());
+        let merged = take_recorded_trace();
         let json = trace::chrome_trace_json(&merged).expect("trace streams must balance");
         std::fs::write(&trace_out, &json).expect("write trace file");
         eprintln!(

@@ -1,13 +1,13 @@
 //! Plain-text tables and CSV output for the experiment binaries.
 
-use crate::harness::ExperimentResult;
+use crate::harness::Measurement;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
 /// Renders results as an aligned table, grouped the way the paper's
 /// figures read: one block per workload, rows = (p, algorithm).
-pub fn print_table(title: &str, results: &[ExperimentResult]) -> String {
+pub fn print_table(title: &str, results: &[Measurement]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## {title}");
     let mut workloads: Vec<&str> = results.iter().map(|r| r.workload.as_str()).collect();
@@ -31,22 +31,23 @@ pub fn print_table(title: &str, results: &[ExperimentResult]) -> String {
                 out,
                 "{:>6} {:<16} {:>12.2} {:>10.2} {:>10.2} {:>10.2} {:>14.1} {:>7}",
                 r.p,
-                r.algorithm,
-                r.modeled.as_secs_f64() * 1e3,
-                r.compute_max.as_secs_f64() * 1e3,
-                r.comm_modeled.as_secs_f64() * 1e3,
+                r.label,
+                r.modeled().as_secs_f64() * 1e3,
+                r.compute().as_secs_f64() * 1e3,
+                r.comm_modeled().as_secs_f64() * 1e3,
                 r.wall.as_secs_f64() * 1e3,
-                r.bytes_per_string,
-                if r.check_ok { "ok" } else { "FAIL" }
+                r.bytes_per_string(),
+                r.check_label()
             );
         }
     }
     out
 }
 
-/// Writes results as CSV (one row per cell, with phase breakdown columns
-/// folded into a `phase:ms;…` field).
-pub fn write_csv(path: &Path, results: &[ExperimentResult]) -> std::io::Result<()> {
+/// Writes results as CSV (one row per cell, with the per-phase modeled
+/// times folded into a `phase:ms;…` field). `wall_ms` is the max-PE wall
+/// time of the sort region; `check` is `ok`, `FAIL` or `skipped`.
+pub fn write_csv(path: &Path, results: &[Measurement]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
@@ -55,9 +56,10 @@ pub fn write_csv(path: &Path, results: &[ExperimentResult]) -> std::io::Result<(
     );
     for r in results {
         let phases: String = r
-            .phase_ms
+            .stats
+            .modeled_phase_times(&r.model)
             .iter()
-            .map(|(n, ms)| format!("{n}:{ms:.3}"))
+            .map(|(n, d)| format!("{n}:{:.3}", d.as_secs_f64() * 1e3))
             .collect::<Vec<_>>()
             .join(";");
         let _ = writeln!(
@@ -65,16 +67,16 @@ pub fn write_csv(path: &Path, results: &[ExperimentResult]) -> std::io::Result<(
             "{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{},{:.2},{},{}",
             r.workload,
             r.p,
-            r.algorithm,
+            r.label,
             r.n,
-            r.n_chars,
-            r.modeled.as_secs_f64() * 1e3,
-            r.compute_max.as_secs_f64() * 1e3,
-            r.comm_modeled.as_secs_f64() * 1e3,
+            r.chars,
+            r.modeled().as_secs_f64() * 1e3,
+            r.compute().as_secs_f64() * 1e3,
+            r.comm_modeled().as_secs_f64() * 1e3,
             r.wall.as_secs_f64() * 1e3,
-            r.bytes_sent,
-            r.bytes_per_string,
-            r.check_ok,
+            r.stats.total_bytes_sent(),
+            r.bytes_per_string(),
+            r.check_label(),
             phases
         );
     }
@@ -84,7 +86,7 @@ pub fn write_csv(path: &Path, results: &[ExperimentResult]) -> std::io::Result<(
 /// Ratio helper for the paper's headline claims ("X times faster than Y
 /// at the largest configuration").
 pub fn speedup_at(
-    results: &[ExperimentResult],
+    results: &[Measurement],
     p: usize,
     workload: &str,
     base: &str,
@@ -92,13 +94,13 @@ pub fn speedup_at(
 ) -> Option<f64> {
     let base_t = results
         .iter()
-        .find(|r| r.p == p && r.workload == workload && r.algorithm == base)?
-        .modeled
+        .find(|r| r.p == p && r.workload == workload && r.label == base)?
+        .modeled()
         .as_secs_f64();
     let best_t = results
         .iter()
-        .filter(|r| r.p == p && r.workload == workload && best_of.contains(&r.algorithm))
-        .map(|r| r.modeled.as_secs_f64())
+        .filter(|r| r.p == p && r.workload == workload && best_of.contains(&r.label))
+        .map(|r| r.modeled().as_secs_f64())
         .fold(f64::INFINITY, f64::min);
     (best_t.is_finite() && best_t > 0.0).then(|| base_t / best_t)
 }
@@ -106,23 +108,41 @@ pub fn speedup_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
+    use dss_net::metrics::{PhaseCounters, PhaseSummary};
+    use dss_net::{CostModel, NetStats};
     use std::time::Duration;
 
-    fn dummy(alg: &'static str, p: usize, modeled_ms: u64) -> ExperimentResult {
-        ExperimentResult {
-            algorithm: alg,
+    fn dummy(alg: &'static str, p: usize, modeled_ms: u64) -> Measurement {
+        let ms = |v: u64| v * 1_000_000;
+        let phase = PhaseSummary {
+            name: "x".into(),
+            total: PhaseCounters {
+                bytes_sent: 1000,
+                ..PhaseCounters::default()
+            },
+            max: PhaseCounters {
+                compute_ns: ms(modeled_ms),
+                ..PhaseCounters::default()
+            },
+        };
+        Measurement {
+            label: alg,
             workload: "W".into(),
             p,
             n: 10,
-            n_chars: 100,
-            modeled: Duration::from_millis(modeled_ms),
-            comm_modeled: Duration::from_millis(modeled_ms / 2),
-            compute_max: Duration::from_millis(modeled_ms - modeled_ms / 2),
+            chars: 100,
+            stats: NetStats {
+                num_pes: p,
+                phases: vec![phase],
+                wall: Duration::from_millis(1),
+            },
+            model: CostModel::default(),
             wall: Duration::from_millis(1),
-            bytes_sent: 1000,
-            bytes_per_string: 100.0,
-            phase_ms: vec![("x".into(), 1.0)],
-            check_ok: true,
+            counters: Counters::default(),
+            overlap_ratio: None,
+            trace: None,
+            check: Some(Ok(())),
         }
     }
 
@@ -152,7 +172,9 @@ mod tests {
         write_csv(&path, &[dummy("A", 2, 5)]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content.lines().count(), 2);
-        assert!(content.lines().nth(1).unwrap().starts_with("W,2,A,"));
+        let row = content.lines().nth(1).unwrap();
+        assert!(row.starts_with("W,2,A,10,100,5.000,"), "{row}");
+        assert!(row.ends_with(",1000,100.00,ok,x:5.000"), "{row}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -26,6 +26,7 @@ use crate::trace::{self, cat, SpanGuard};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,12 +65,39 @@ pub(crate) struct Envelope {
 pub struct WorldShared {
     pub(crate) senders: Vec<Sender<Envelope>>,
     pub(crate) size: usize,
+    /// World rank of the first PE to call [`Self::poison_all`]
+    /// (`usize::MAX` while no PE has failed). Every later panic is a
+    /// secondary abort on the poison pill or on a closed mailbox, so this
+    /// is the PE whose panic the runner re-raises.
+    first_failure: AtomicUsize,
 }
 
 impl WorldShared {
-    /// Sends the poison pill to every PE (called on panic, so blocked
-    /// receives fail fast instead of deadlocking the run).
-    pub(crate) fn poison_all(&self) {
+    pub(crate) fn new(senders: Vec<Sender<Envelope>>) -> Self {
+        Self {
+            size: senders.len(),
+            senders,
+            first_failure: AtomicUsize::new(usize::MAX),
+        }
+    }
+
+    /// The world rank that failed first, if any PE has failed. Read after
+    /// joining the PE threads, so the join orders every write before it.
+    pub(crate) fn first_failure(&self) -> Option<usize> {
+        let r = self.first_failure.load(Ordering::Relaxed);
+        (r != usize::MAX).then_some(r)
+    }
+
+    /// Records `rank` as failed (the first caller wins) and sends the
+    /// poison pill to every PE (called on panic, so blocked receives fail
+    /// fast instead of deadlocking the run).
+    pub(crate) fn poison_all(&self, rank: usize) {
+        let _ = self.first_failure.compare_exchange(
+            usize::MAX,
+            rank,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
         for s in &self.senders {
             // Ignore failures: the receiver may already be gone.
             let _ = s.send(Envelope {

@@ -3,7 +3,8 @@
 //!
 //! Panics on any PE broadcast a poison pill to all mailboxes, so the other
 //! PEs abort their blocked receives instead of deadlocking; the runner
-//! then propagates the panic to the caller.
+//! then joins every PE and propagates the panic of the PE that failed
+//! first (not a peer's secondary abort) to the caller.
 
 use crate::comm::{Comm, Envelope, PeCore, WorldShared};
 use crate::metrics::{NetStats, PeMetrics};
@@ -76,7 +77,7 @@ where
         senders.push(tx);
         receivers.push(rx);
     }
-    let world = Arc::new(WorldShared { senders, size: p });
+    let world = Arc::new(WorldShared::new(senders));
     // Oversubscription correction for compute-time accounting (see
     // `metrics::oversub_scale`): p PEs × the worker threads each spawns.
     let oversub_scale = crate::metrics::oversub_scale(p, cfg.threads_per_pe);
@@ -123,7 +124,7 @@ where
                                 (v, metrics)
                             }
                             Err(e) => {
-                                comm.world_shared().poison_all();
+                                comm.world_shared().poison_all(rank);
                                 resume_unwind(e);
                             }
                         }
@@ -131,12 +132,22 @@ where
                     .expect("spawn PE thread")
             })
             .collect();
-        handles
+        // Join every PE before re-raising, so the payload comes from the
+        // PE that failed first rather than from whichever rank a
+        // rank-order join reaches first (usually rank 0's secondary abort).
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        if joined.iter().any(Result::is_err) {
+            let culprit = world
+                .first_failure()
+                .filter(|&r| joined[r].is_err())
+                .unwrap_or_else(|| joined.iter().position(Result::is_err).expect("a PE failed"));
+            if let Err(e) = joined.swap_remove(culprit) {
+                resume_unwind(e);
+            }
+        }
+        joined
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(e) => resume_unwind(e),
-            })
+            .map(|r| r.expect("no PE failed"))
             .collect()
     })
     .expect("SPMD scope");
@@ -407,6 +418,19 @@ mod tests {
         });
         assert_eq!(res.values, vec![1, 0]);
         assert_eq!(res.stats.bottleneck().rounds, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "PE 2 marker")]
+    fn failing_pe_panic_reaches_the_caller() {
+        run_spmd(4, cfg(), |comm| {
+            if comm.rank() == 2 {
+                panic!("PE 2 marker");
+            }
+            // Rank 0 blocks in `recv` and aborts on the poison pill; the
+            // caller must still see PE 2's own message, not rank 0's.
+            let _ = comm.recv(2, Tag::user(0));
+        });
     }
 
     #[test]

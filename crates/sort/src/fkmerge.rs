@@ -16,6 +16,7 @@ use crate::exchange::{ExchangeCodec, ExchangeMode, ExchangePayload, StringAllToA
 use crate::output::SortedRun;
 use crate::partition::{self, PartitionConfig, SamplingPolicy};
 use crate::{reject_sentinel_bytes, DistSorter};
+use dss_net::trace::{self, cat};
 use dss_net::Comm;
 use dss_strkit::sort::{par_sort_with_lcp, threads_from_env};
 use dss_strkit::StringSet;
@@ -56,6 +57,11 @@ impl DistSorter for FkMerge {
     }
 
     fn sort(&self, comm: &Comm, mut input: StringSet) -> SortedRun {
+        let _algo = trace::span_args(
+            cat::ALGO,
+            self.name(),
+            [("strings", input.len() as u64), ("", 0)],
+        );
         comm.set_phase("local_sort");
         reject_sentinel_bytes(comm, &input);
         let (lcps, _) = par_sort_with_lcp(&mut input, self.threads);

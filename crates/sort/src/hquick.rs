@@ -25,6 +25,7 @@ use crate::output::SortedRun;
 use crate::{reject_sentinel_bytes, DistSorter};
 use dss_codec::wire;
 use dss_net::topology;
+use dss_net::trace::{self, cat};
 use dss_net::{Comm, SplitMix64};
 use dss_strkit::sort::{par_sort_with_lcp, threads_from_env};
 use dss_strkit::StringSet;
@@ -69,6 +70,11 @@ impl DistSorter for HQuick {
     }
 
     fn sort(&self, comm: &Comm, input: StringSet) -> SortedRun {
+        let _algo = trace::span_args(
+            cat::ALGO,
+            self.name(),
+            [("strings", input.len() as u64), ("", 0)],
+        );
         // The ingestion check is local work: charge it to local_sort, as
         // every sorter does, not to the placement that follows.
         comm.set_phase("local_sort");

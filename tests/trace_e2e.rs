@@ -178,18 +178,16 @@ fn structural_span_counts_are_thread_count_invariant() {
     assert_eq!(one, two, "structural span counts changed with threads");
 }
 
-/// Every merge-sort preset records exactly one `algo` span per PE, named
-/// by its plot label — also at prime p, where the grid presets run their
-/// level loop flat instead of nesting a second sorter.
+/// Every preset — the eight merge-sort presets and the FKmerge / hQuick
+/// baselines — records exactly one `algo` span per PE, named by its plot
+/// label; also at prime p, where the grid presets run their level loop
+/// flat instead of nesting a second sorter.
 #[test]
 fn merge_presets_record_one_algo_span_per_pe() {
     let _g = lock();
     for p in [4usize, 7] {
         let shards = build_shards(p, 200);
         for alg in Algorithm::all_extended() {
-            if matches!(alg, Algorithm::FkMerge | Algorithm::HQuick) {
-                continue;
-            }
             let (spans, _) = traced_run(alg, ExchangeMode::Blocking, 1, &shards);
             let algo: Vec<&trace::Span> = spans.iter().filter(|s| s.cat == cat::ALGO).collect();
             let names: Vec<&str> = algo.iter().map(|s| s.name.as_str()).collect();
